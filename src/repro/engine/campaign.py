@@ -23,7 +23,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from ..obs import Tracer
 from .cache import ResultCache
@@ -165,6 +165,55 @@ def _verification_block(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return certification
 
 
+def _summary(
+    campaign: Campaign,
+    records: List[Dict[str, Any]],
+    tracer: Tracer,
+    verify: bool,
+    t0: float,
+    dispatch: Dict[str, Any],
+) -> Dict[str, Any]:
+    """The summary both campaign runners return: ``dispatch`` (how the
+    tasks ran — workers, cache hits, ...) plus the outcome aggregated
+    over ``records`` in task order, each record's trace absorbed into
+    ``tracer`` first."""
+    by_status: Dict[str, int] = {}
+    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
+                 "residual_weight": 0.0, "vertices": 0}
+    failed: List[str] = []
+    task_seconds = 0.0
+    for record in records:
+        status = record.get("status", "unknown")
+        by_status[status] = by_status.get(status, 0) + 1
+        if status not in REUSABLE_STATUSES:
+            failed.append(record["key"])
+        task_seconds += record.get("seconds") or 0.0
+        if record.get("trace"):
+            tracer.absorb(record["trace"])
+        payload = record.get("payload")
+        if status == "ok" and isinstance(payload, dict):
+            for field_name in aggregate:
+                value = payload.get(field_name)
+                if isinstance(value, (int, float)):
+                    aggregate[field_name] += value
+    summary = {
+        "campaign": campaign.name,
+        "engine_version": ENGINE_VERSION,
+        "total_tasks": len(campaign.tasks),
+        **dispatch,
+        "by_status": dict(sorted(by_status.items())),
+        "failed_tasks": failed,
+        "wall_seconds": round(time.perf_counter() - t0, 6),
+        "task_seconds": round(task_seconds, 6),
+        "result_hash": _campaign_result_hash(records),
+        "aggregate": aggregate,
+        "trace": tracer.report(),
+    }
+    if verify:
+        summary["verification"] = _verification_block(records)
+    return summary
+
+
 def run_campaign(
     campaign: Campaign,
     cache: ResultCache,
@@ -231,43 +280,11 @@ def run_campaign(
     for i, record in zip(to_run, fresh):
         records[i] = record
     final: List[Dict[str, Any]] = [r for r in records if r is not None]
-
-    by_status: Dict[str, int] = {}
-    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
-                 "residual_weight": 0.0, "vertices": 0}
-    failed: List[str] = []
-    task_seconds = 0.0
-    for record in final:
-        status = record.get("status", "unknown")
-        by_status[status] = by_status.get(status, 0) + 1
-        if status not in REUSABLE_STATUSES:
-            failed.append(record["key"])
-        task_seconds += record.get("seconds") or 0.0
-        if record.get("trace"):
-            tracer.absorb(record["trace"])
-        payload = record.get("payload")
-        if status == "ok" and isinstance(payload, dict):
-            for field_name in aggregate:
-                value = payload.get(field_name)
-                if isinstance(value, (int, float)):
-                    aggregate[field_name] += value
-    summary = {
-        "campaign": campaign.name,
-        "engine_version": ENGINE_VERSION,
-        "total_tasks": len(campaign.tasks),
+    summary = _summary(campaign, final, tracer, verify, t0, {
         "workers": workers,
         "cache_hits": int(tracer.counters.get("engine.cache_hits", 0)),
         "executed": len(to_run),
-        "by_status": dict(sorted(by_status.items())),
-        "failed_tasks": failed,
-        "wall_seconds": round(time.perf_counter() - t0, 6),
-        "task_seconds": round(task_seconds, 6),
-        "result_hash": _campaign_result_hash(final),
-        "aggregate": aggregate,
-        "trace": tracer.report(),
-    }
-    if verify:
-        summary["verification"] = _verification_block(final)
+    })
     if write_summary:
         path = cache.summary_path(campaign.name)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -307,15 +324,14 @@ def run_campaign_remote(
     """
     import asyncio
 
-    from ..serve.client import _split_url, wait_healthy
-    from ..serve.http import HttpError, read_response, render_request
+    from ..serve.client import ShardClient, wait_healthy
+    from ..serve.http import HttpError
 
     tracer = tracer if tracer is not None else Tracer()
     concurrency = campaign.workers if workers is None else workers
     concurrency = max(1, concurrency)
     want_verify = campaign.verify if verify is None else verify
     retries = max(0, campaign.retries)
-    host, port = _split_url(url)
     t0 = time.perf_counter()
 
     documents: List[Dict[str, Any]] = []
@@ -330,81 +346,62 @@ def run_campaign_remote(
     records: List[Optional[Dict[str, Any]]] = [None] * len(documents)
     served: List[Optional[Dict[str, Any]]] = [None] * len(documents)
 
+    async def send(client: ShardClient, index: int) -> None:
+        """POST one task under the campaign's retry policy."""
+        body = json.dumps(documents[index]).encode()
+        last_error = "no attempt made"
+        for attempt in range(retries + 1):
+            if attempt:
+                await asyncio.sleep(campaign.backoff * attempt)
+            try:
+                response = await client.request(
+                    "POST", "/v1/task", body, timeout=None
+                )
+            except (OSError, HttpError, asyncio.TimeoutError) as exc:
+                last_error = str(exc) or type(exc).__name__
+                tracer.count("engine.remote_transport_errors")
+                continue
+            tracer.count("engine.remote_requests")
+            if response.status in (429, 503):
+                last_error = f"HTTP {response.status}"
+                tracer.count("engine.remote_rejected")
+                continue
+            try:
+                document = response.json()
+            except HttpError:
+                document = None
+            if isinstance(document, dict) and isinstance(
+                document.get("record"), dict
+            ):
+                records[index] = document["record"]
+                served[index] = document.get("served") or {}
+            else:
+                records[index] = {
+                    "key": task_hash(campaign.tasks[index]),
+                    "status": "error",
+                    "error": f"malformed response "
+                             f"(HTTP {response.status})",
+                }
+            return
+        records[index] = {
+            "key": task_hash(campaign.tasks[index]),
+            "status": "unreachable",
+            "error": last_error,
+        }
+
     async def dispatch_all() -> None:
         await wait_healthy(url, timeout=wait)
-        queue: "asyncio.Queue[int]" = asyncio.Queue()
-        for i in range(len(documents)):
-            queue.put_nowait(i)
+        client = ShardClient(url, pool_size=concurrency)
+        pending = iter(range(len(documents)))
 
-        async def worker() -> None:
-            reader = writer = None
-            try:
-                while True:
-                    try:
-                        index = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return
-                    body = json.dumps(documents[index]).encode()
-                    last_error = "no attempt made"
-                    for attempt in range(retries + 1):
-                        if attempt:
-                            await asyncio.sleep(
-                                campaign.backoff * attempt
-                            )
-                        try:
-                            if writer is None:
-                                reader, writer = (
-                                    await asyncio.open_connection(
-                                        host, port
-                                    )
-                                )
-                            writer.write(render_request(
-                                "POST", "/v1/task", body, host=host,
-                            ))
-                            await writer.drain()
-                            response = await read_response(reader)
-                            if response is None:
-                                raise HttpError(
-                                    400, "connection closed mid-response"
-                                )
-                        except (OSError, HttpError,
-                                asyncio.IncompleteReadError) as exc:
-                            last_error = str(exc) or type(exc).__name__
-                            tracer.count("engine.remote_transport_errors")
-                            if writer is not None:
-                                writer.close()
-                            reader = writer = None
-                            continue
-                        tracer.count("engine.remote_requests")
-                        if response.status in (429, 503):
-                            last_error = f"HTTP {response.status}"
-                            tracer.count("engine.remote_rejected")
-                            continue
-                        document = response.json()
-                        if isinstance(document, dict) and isinstance(
-                            document.get("record"), dict
-                        ):
-                            records[index] = document["record"]
-                            served[index] = document.get("served") or {}
-                        else:
-                            records[index] = {
-                                "key": task_hash(campaign.tasks[index]),
-                                "status": "error",
-                                "error": f"malformed response "
-                                         f"(HTTP {response.status})",
-                            }
-                        break
-                    else:
-                        records[index] = {
-                            "key": task_hash(campaign.tasks[index]),
-                            "status": "unreachable",
-                            "error": last_error,
-                        }
-            finally:
-                if writer is not None:
-                    writer.close()
+        async def dispatcher() -> None:
+            for index in pending:
+                await send(client, index)
 
-        await asyncio.gather(*[worker() for _ in range(concurrency)])
+        try:
+            await asyncio.gather(*[dispatcher() for _ in range(concurrency)])
+        finally:
+            await client.close()
 
     asyncio.run(dispatch_all())
 
@@ -414,47 +411,17 @@ def run_campaign_remote(
               "status": "unreachable", "error": "not dispatched"}
         for i, r in enumerate(records)
     ]
-    by_status: Dict[str, int] = {}
     dispositions: Dict[str, int] = {}
-    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
-                 "residual_weight": 0.0, "vertices": 0}
-    failed: List[str] = []
-    task_seconds = 0.0
-    cache_hits = 0
-    for record, serve_info in zip(final, served):
-        status = record.get("status", "unknown")
-        by_status[status] = by_status.get(status, 0) + 1
-        if status not in REUSABLE_STATUSES:
-            failed.append(record["key"])
-        task_seconds += record.get("seconds") or 0.0
+    for serve_info in served:
         disposition = (serve_info or {}).get("cache", "unknown")
         dispositions[disposition] = dispositions.get(disposition, 0) + 1
-        if disposition == "hit":
-            cache_hits += 1
-            tracer.count("engine.cache_hits")
-        payload = record.get("payload")
-        if status == "ok" and isinstance(payload, dict):
-            for field_name in aggregate:
-                value = payload.get(field_name)
-                if isinstance(value, (int, float)):
-                    aggregate[field_name] += value
-    summary = {
-        "campaign": campaign.name,
-        "engine_version": ENGINE_VERSION,
+    cache_hits = dispositions.get("hit", 0)
+    if cache_hits:
+        tracer.count("engine.cache_hits", cache_hits)
+    return _summary(campaign, final, tracer, want_verify, t0, {
         "remote": url,
-        "total_tasks": len(campaign.tasks),
         "workers": concurrency,
         "cache_hits": cache_hits,
         "executed": len(final) - cache_hits,
         "served": dict(sorted(dispositions.items())),
-        "by_status": dict(sorted(by_status.items())),
-        "failed_tasks": failed,
-        "wall_seconds": round(time.perf_counter() - t0, 6),
-        "task_seconds": round(task_seconds, 6),
-        "result_hash": _campaign_result_hash(final),
-        "aggregate": aggregate,
-        "trace": tracer.report(),
-    }
-    if want_verify:
-        summary["verification"] = _verification_block(final)
-    return summary
+    })

@@ -44,6 +44,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -272,6 +273,14 @@ def run_tasks(
 # ----------------------------------------------------------------------
 # persistent pool (the serving-layer execution surface)
 # ----------------------------------------------------------------------
+#: Parent-side pipe ends of this process's persistent workers.  A
+#: forked worker inherits a copy of every one of them — its own and its
+#: siblings' — and closes them first, so the parent's death leaves no
+#: writer open and the worker's ``recv`` sees EOF instead of blocking
+#: forever.
+_PARENT_ENDS: "weakref.WeakSet[Any]" = weakref.WeakSet()
+
+
 def _persistent_worker(conn: Any) -> None:
     """Long-lived subprocess loop: recv a dispatch, run it, send records.
 
@@ -279,6 +288,8 @@ def _persistent_worker(conn: Any) -> None:
     ``None`` asks the worker to exit.  Each spec runs under its own
     remaining-deadline budget (see :func:`repro.engine.tasks.run_task`).
     """
+    for parent_end in list(_PARENT_ENDS):
+        parent_end.close()
     while True:
         try:
             message = conn.recv()
@@ -308,6 +319,7 @@ class _PoolWorker:
 
     def __init__(self, ctx: Any) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
+        _PARENT_ENDS.add(self.conn)
         self.proc = ctx.Process(
             target=_persistent_worker, args=(child_conn,), daemon=True
         )

@@ -133,7 +133,8 @@ def to_prometheus(
     """Render a report in the Prometheus text exposition format (0.0.4).
 
     Counters become ``<prefix>_<name>_total`` counter families (dots
-    and other non-identifier characters flattened to underscores), and
+    and other non-identifier characters flattened to underscores; a
+    name already ending in ``_total`` keeps its single suffix), and
     every span path becomes one sample of the two shared families
     ``<prefix>_span_seconds_total`` / ``<prefix>_span_calls_total``,
     labelled ``{span="path"}``.  ``gauges`` adds point-in-time values
@@ -144,7 +145,9 @@ def to_prometheus(
     report = as_report(source)
     out = io.StringIO()
     for name in sorted(report.get("counters", {})):
-        metric = _metric_name(prefix, name) + "_total"
+        metric = _metric_name(prefix, name)
+        if not metric.endswith("_total"):
+            metric += "_total"
         out.write(f"# TYPE {metric} counter\n")
         out.write(f"{metric} {_format_value(report['counters'][name])}\n")
     spans = sorted(report.get("spans", []), key=lambda s: s["name"])

@@ -34,13 +34,12 @@ Operational surface: ``/healthz``, ``/metrics`` (Prometheus text),
 
 from .admission import AdmissionController, ClassLimit
 from .batcher import MicroBatcher
-from .client import LoadConfig, run_load
+from .client import LoadConfig, ShardClient, run_load
 from .protocol import TaskRequest, batch_key, parse_task_request
 from .router import (
     HashRing,
     Router,
     RouterConfig,
-    ShardClient,
     ShardSupervisor,
     shard_urls,
 )

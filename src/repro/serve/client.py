@@ -19,6 +19,12 @@ Each request is a task from a deterministic seed cycle
 command against a warm cache demonstrates content-addressed serving:
 the second pass reports ``cache_hits == requests``.
 
+:class:`ShardClient` is the one pooled keep-alive client every
+long-lived caller shares — the router's per-shard pools and remote
+campaigns (:func:`repro.engine.campaign.run_campaign_remote`).  The
+load generator keeps its own connection loop on purpose: it must count
+every transport error rather than retry it.
+
 All helpers speak the same minimal HTTP codec as the server
 (:mod:`repro.serve.http`) — no third-party client stack.
 """
@@ -36,6 +42,7 @@ from .http import HttpError, Response, read_response, render_request
 
 __all__ = [
     "LoadConfig",
+    "ShardClient",
     "run_load",
     "request_once",
     "wait_healthy",
@@ -102,6 +109,96 @@ def _split_url(url: str) -> Tuple[str, int]:
     host = parts.hostname or "127.0.0.1"
     port = parts.port or 80
     return host, port
+
+
+class ShardClient:
+    """A keep-alive connection pool to one service URL.
+
+    ``request`` borrows a pooled connection (opening one when none is
+    free), sends, reads, and returns the connection to the pool.  A
+    transport failure on a *reused* connection discards it and retries
+    once on a fresh one — which cleanly absorbs a server restart (or an
+    idle close) between requests; a failure on a fresh connection
+    propagates as :class:`ConnectionError`.
+    """
+
+    def __init__(self, url: str, pool_size: int = 32) -> None:
+        self.url = url
+        self.host, self.port = _split_url(url)
+        self.pool_size = pool_size
+        self._free: List[Tuple[asyncio.StreamReader,
+                               asyncio.StreamWriter]] = []
+
+    async def _acquire(
+        self, reuse: bool,
+    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
+        """A connection plus whether it came from the pool."""
+        while reuse and self._free:
+            reader, writer = self._free.pop()
+            if not writer.is_closing():
+                return reader, writer, True
+            writer.close()
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        return reader, writer, False
+
+    def _release(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter) -> None:
+        if len(self._free) < self.pool_size and not writer.is_closing():
+            self._free.append((reader, writer))
+        else:
+            writer.close()
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        timeout: Optional[float] = 300.0,
+    ) -> Response:
+        """One exchange (``timeout`` None waits indefinitely); retries
+        once on a dead pooled connection, then lets transport errors
+        propagate as :class:`ConnectionError`."""
+        reuse = True
+        while True:
+            reader, writer, reused = await self._acquire(reuse)
+            try:
+                writer.write(render_request(
+                    method, path, body, host=self.host, keep_alive=True,
+                ))
+                await writer.drain()
+                response = await asyncio.wait_for(
+                    read_response(reader), timeout
+                )
+                if response is None:
+                    raise ConnectionResetError(
+                        "server closed connection mid-response"
+                    )
+            except (HttpError, asyncio.TimeoutError):
+                # before OSError: asyncio.TimeoutError is the builtin
+                # TimeoutError, an OSError subclass, since Python 3.11
+                writer.close()
+                raise
+            except OSError as exc:
+                writer.close()
+                if reused:
+                    reuse = False
+                    continue
+                raise ConnectionError(
+                    f"{self.url} unreachable: "
+                    f"{exc or type(exc).__name__}"
+                ) from exc
+            self._release(reader, writer)
+            return response
+
+    async def close(self) -> None:
+        """Close every pooled connection."""
+        while self._free:
+            _reader, writer = self._free.pop()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
 
 
 async def request_once(

@@ -9,6 +9,13 @@ server, :func:`render_request` / :func:`read_response` for the load
 generator — so client and server are exercised against the *same*
 parser in the tests.
 
+On top of the codec sits :class:`HttpServer`, the one server skeleton
+both front ends (:class:`~repro.serve.service.Service` and
+:class:`~repro.serve.router.Router`) are built on: it owns the
+lifecycle, the keep-alive connection loop, dispatch from a
+``{(method, path): handler}`` route table (404, 405, :class:`HttpError`
+and 500 answered in one place) and the Prometheus text response.
+
 Limits are explicit and small: request line and headers are capped at
 :data:`MAX_HEADER_BYTES`, bodies at ``max_body`` (the caller's knob;
 :data:`DEFAULT_MAX_BODY` by default).  ``Transfer-Encoding: chunked``
@@ -20,11 +27,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple
+
+from ..obs import Tracer, to_prometheus
 
 __all__ = [
     "HttpError",
+    "HttpServer",
     "Request",
     "Response",
     "read_request",
@@ -258,3 +271,168 @@ def json_response(
     """Render a JSON payload as a complete response message."""
     body = json.dumps(payload, sort_keys=True).encode()
     return render_response(status, body, keep_alive=keep_alive)
+
+
+#: An endpoint: one parsed request in, one complete response message out.
+Handler = Callable[[Request], Awaitable[bytes]]
+
+
+class HttpServer:
+    """The server skeleton: lifecycle, keep-alive loop, route dispatch.
+
+    A subclass passes its route table — ``{(method, path): handler}``
+    — and declares the endpoint handlers plus :meth:`on_close`.  The
+    skeleton answers an unknown path with 404, a known path under the
+    wrong method with 405 (derived from the table), an
+    :class:`HttpError` with its own status, and any other handler
+    exception with a bare 500 ``{"error": "internal error"}`` — the
+    traceback goes to stderr, never to the client.  A drain endpoint
+    calls :meth:`mark_drained` once its work is finished;
+    :meth:`serve_until_drained` then tears the server down.
+    """
+
+    #: counter bumped for every parsed request (None: not counted)
+    request_counter: Optional[str] = None
+    #: counter bumped for every handler crash answered with 500
+    error_counter = "http.errors"
+
+    def __init__(
+        self,
+        routes: Mapping[Tuple[str, str], Handler],
+        host: str,
+        port: int,
+        max_body: int = DEFAULT_MAX_BODY,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        self.routes = dict(routes)
+        self._paths = {path for _method, path in self.routes}
+        self._bind = (host, port)
+        self.max_body = max_body
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.port: Optional[int] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._started_at = time.monotonic()
+        self._drain_done = asyncio.Event()
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    async def start(self) -> int:
+        """Bind and start accepting; returns the actual port (ephemeral
+        ports resolve here)."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, *self._bind
+        )
+        self._started_at = time.monotonic()
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self.port
+
+    def mark_drained(self) -> None:
+        """Report the drain finished (releases :meth:`wait_drained`)."""
+        self._drain_done.set()
+
+    async def wait_drained(self) -> None:
+        """Resolve after a drain has finished all in-flight work."""
+        await self._drain_done.wait()
+
+    async def on_close(self) -> None:
+        """Release what the subclass owns; runs after the listener
+        closes, on every :meth:`stop`."""
+
+    async def stop(self) -> None:
+        """Close the listener, then run :meth:`on_close` (idempotent
+        as long as the hook is)."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        await self.on_close()
+
+    async def serve_until_drained(self) -> None:
+        """Run until a client drains the server (the CLI entry point)."""
+        if self._server is None:
+            await self.start()
+        try:
+            await self.wait_drained()
+            # let final responses flush before tearing the listener down
+            await asyncio.sleep(0.05)
+        finally:
+            await self.stop()
+
+    def uptime(self) -> float:
+        """Seconds since the listener was bound."""
+        return time.monotonic() - self._started_at
+
+    # ------------------------------------------------------------------
+    # connection + dispatch
+    # ------------------------------------------------------------------
+    async def _handle_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Serve one keep-alive connection until close or error."""
+        try:
+            while True:
+                try:
+                    request = await read_request(
+                        reader, max_body=self.max_body
+                    )
+                except HttpError as exc:
+                    writer.write(json_response(
+                        exc.status, {"error": str(exc)}, keep_alive=False,
+                    ))
+                    await writer.drain()
+                    return
+                if request is None:
+                    return
+                if self.request_counter is not None:
+                    self.tracer.count(self.request_counter)
+                writer.write(await self._dispatch(request))
+                await writer.drain()
+                if not request.keep_alive:
+                    return
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+
+    async def _dispatch(self, request: Request) -> bytes:
+        """Run the request's handler; every failure becomes a response."""
+        keep = request.keep_alive
+        try:
+            handler = self.routes.get((request.method, request.path))
+            if handler is None:
+                if request.path in self._paths:
+                    raise HttpError(405, f"method {request.method} not "
+                                         f"allowed on {request.path}")
+                raise HttpError(404, f"unknown path {request.path}")
+            return await handler(request)
+        except HttpError as exc:
+            return json_response(
+                exc.status, {"error": str(exc)}, keep_alive=keep
+            )
+        except Exception:  # a handler bug must not kill the server
+            self.tracer.count(self.error_counter)
+            print(f"error: {request.method} {request.path} failed",
+                  file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            return json_response(
+                500, {"error": "internal error"}, keep_alive=keep
+            )
+
+    def metrics_response(
+        self, gauges: Mapping[str, float], keep_alive: bool
+    ) -> bytes:
+        """The tracer's counters and spans plus ``gauges`` as a
+        Prometheus text response."""
+        body = to_prometheus(self.tracer, gauges=gauges).encode()
+        return render_response(
+            200, body,
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+            keep_alive=keep_alive,
+        )

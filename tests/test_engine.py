@@ -361,6 +361,62 @@ class TestPersistentPool:
         with pytest.raises(RuntimeError):
             pool.submit(self._specs(1))
 
+    def test_workers_exit_when_parent_is_killed(self):
+        """A SIGKILLed parent must not leave orphaned workers: each
+        worker (the respawned one too) holds no copy of any parent-side
+        pipe end, so its ``recv`` sees EOF."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        script = (
+            "import time\n"
+            "from repro.engine.pool import PersistentPool\n"
+            "from repro.engine.tasks import TaskSpec\n"
+            "pool = PersistentPool(workers=2)\n"
+            "pool.submit([TaskSpec(generator='crash', seed=0)], timeout=30)\n"
+            "print(' '.join(str(w.proc.pid) for w in list(pool._idle.queue)),"
+            " flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait()
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stream:
+                    state = stream.read().rpartition(")")[2].split()[0]
+                return state != "Z"  # an exited, unreaped orphan
+            except FileNotFoundError:
+                return False
+            except OSError:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    return False
+                return True
+
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in pids) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
 
 # ----------------------------------------------------------------------
 # campaign semantics

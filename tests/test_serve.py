@@ -24,6 +24,8 @@ from repro.serve import (
 from repro.serve.client import percentile, request_once, wait_healthy
 from repro.serve.http import (
     HttpError,
+    HttpServer,
+    json_response,
     read_request,
     read_response,
     render_request,
@@ -581,6 +583,9 @@ class TestServiceEndToEnd:
                 assert "repro_serve_pool_workers 0" in text
                 assert 'repro_serve_in_system{class="light"} 0' in text
                 assert "repro_serve_uptime_seconds" in text
+                # a counter already named *.total keeps a single suffix
+                assert "repro_affinities_total " in text
+                assert "_total_total" not in text
             finally:
                 await service.stop()
         run(body())
@@ -622,6 +627,47 @@ class TestServiceEndToEnd:
             finally:
                 await service.stop()
         run(body())
+
+
+# ----------------------------------------------------------------------
+# the server skeleton
+# ----------------------------------------------------------------------
+class _BrokenApp(HttpServer):
+    """One route that works and one whose handler raises."""
+
+    def __init__(self):
+        super().__init__({("GET", "/ok"): self._ok,
+                          ("GET", "/boom"): self._boom}, "127.0.0.1", 0)
+
+    async def _ok(self, request):
+        return json_response(200, {"ok": True},
+                             keep_alive=request.keep_alive)
+
+    async def _boom(self, request):
+        raise RuntimeError("secret detail 4242")
+
+
+class TestHttpServer:
+    def test_handler_crash_is_opaque_500(self, capsys):
+        async def body():
+            app = _BrokenApp()
+            port = await app.start()
+            url = f"http://127.0.0.1:{port}"
+            try:
+                response = await request_once(url, "GET", "/boom")
+                assert response.status == 500
+                assert response.json() == {"error": "internal error"}
+                assert b"secret" not in response.body
+                assert app.tracer.counters["http.errors"] == 1
+                # the server survives and keeps answering
+                ok = await request_once(url, "GET", "/ok")
+                assert ok.json() == {"ok": True}
+            finally:
+                await app.stop()
+        run(body())
+        # the operator still gets the traceback
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "secret detail 4242" in err
 
 
 # ----------------------------------------------------------------------

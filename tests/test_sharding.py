@@ -19,7 +19,7 @@ from repro.engine import (
     run_campaign,
     run_campaign_remote,
 )
-from repro.engine.tasks import TaskSpec, task_hash
+from repro.engine.tasks import TaskSpec, run_task, task_hash
 from repro.obs import (
     CACHE_FILE_HITS,
     CACHE_FILE_MISSES,
@@ -39,6 +39,7 @@ from repro.serve import (
     shard_urls,
 )
 from repro.serve.client import drain, request_once
+from repro.serve.http import HttpServer, json_response
 
 TIMEOUT = 60.0
 
@@ -426,6 +427,23 @@ class TestRouter:
                 await _stop_all(router, services)
         run(body())
 
+    def test_forward_timeout_is_504(self):
+        async def body():
+            router, services, url = await _start_shards(1)
+            router.config.forward_timeout = 0.2
+            try:
+                slow = {"task": {"generator": "sleep", "seed": 0,
+                                 "params": {"seconds": 1.0}}}
+                response = await request_once(url, "POST", "/v1/task",
+                                              slow)
+                assert response.status == 504
+                assert response.json()["shard"] == "shard-0"
+                # a timeout is not a dead connection: no silent resend
+                assert services[0].tracer.counters["serve.requests"] == 1
+            finally:
+                await _stop_all(router, services)
+        run(body())
+
     def test_router_metrics_exposes_counters(self):
         async def body():
             router, services, url = await _start_shards(1)
@@ -523,12 +541,18 @@ class TestServiceMemoryTier:
 def _serve_in_thread(config):
     """Run a service's event loop in a daemon thread; returns (url,
     thread).  The thread exits when the service is drained."""
+    return _app_in_thread(lambda: Service(config))
+
+
+def _app_in_thread(make_app):
+    """Run any :class:`HttpServer` built by ``make_app`` in a daemon
+    thread until it is drained; returns (url, thread)."""
     box = {}
     started = threading.Event()
 
     def runner():
         async def main():
-            service = Service(config)
+            service = make_app()
             box["port"] = await service.start()
             started.set()
             await service.serve_until_drained()
@@ -538,6 +562,34 @@ def _serve_in_thread(config):
     thread.start()
     assert started.wait(TIMEOUT), "service failed to start"
     return f"http://127.0.0.1:{box['port']}", thread
+
+
+class _RejectOnceApp(HttpServer):
+    """A stub service: the first task gets 429, every later one a real
+    record computed inline."""
+
+    def __init__(self):
+        super().__init__({
+            ("GET", "/healthz"): self._healthz,
+            ("POST", "/v1/task"): self._task,
+            ("POST", "/drain"): self._drain,
+        }, "127.0.0.1", 0)
+        self.rejected = False
+
+    async def _healthz(self, request):
+        return json_response(200, {"status": "ok"})
+
+    async def _task(self, request):
+        if not self.rejected:
+            self.rejected = True
+            return json_response(429, {"error": "queue full"})
+        spec = TaskSpec.from_dict(request.json()["task"])
+        return json_response(200, {"record": run_task(spec),
+                                   "served": {"cache": "miss"}})
+
+    async def _drain(self, request):
+        self.mark_drained()
+        return json_response(200, {"drained": True})
 
 
 class TestRemoteCampaign:
@@ -574,6 +626,26 @@ class TestRemoteCampaign:
         assert second["cache_hits"] == len(campaign.tasks)
         assert second["served"] == {"hit": len(campaign.tasks)}
         assert second["result_hash"] == local["result_hash"]
+        # one summary shape: only the remote-only fields differ (the
+        # local run also reports where it wrote its summary file)
+        assert (set(first) - {"remote", "served"}
+                == set(local) - {"summary_path"})
+
+    def test_rejected_task_is_retried(self):
+        campaign = self._campaign()
+        campaign.tasks = campaign.tasks[:1]
+        url, thread = _app_in_thread(_RejectOnceApp)
+        tracer = Tracer()
+        try:
+            summary = run_campaign_remote(campaign, url, workers=1,
+                                          tracer=tracer)
+        finally:
+            run(drain(url), timeout=10.0)
+            thread.join(timeout=10.0)
+        assert summary["failed_tasks"] == []
+        assert summary["by_status"] == {"ok": 1}
+        assert tracer.counters["engine.remote_rejected"] == 1
+        assert tracer.counters["engine.remote_requests"] == 2
 
     def test_unreachable_service_fails_tasks(self):
         campaign = self._campaign()
