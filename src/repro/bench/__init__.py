@@ -1,11 +1,11 @@
 """Performance-trajectory harness: pinned kernel snapshots.
 
 ``repro bench snapshot`` runs a fixed suite of kernels (interference
-build, MCS, greedy colouring, conservative coalescing) on fixed-seed
-instances, in both the dense-bitset and dict-of-set backends, and
-writes a schema-versioned ``BENCH_<rev>.json``: wall-times plus the
-*exact* :data:`~repro.obs.names.KERNEL_WORK_COUNTERS`.  Committed
-snapshots form the repo's recorded perf trajectory; ``repro bench
+build, MCS, greedy colouring, interval build, linear scan, conservative
+coalescing) on fixed-seed instances and writes a schema-versioned
+``BENCH_<rev>.json``: wall-times plus the *exact*
+:data:`~repro.obs.names.KERNEL_WORK_COUNTERS`.  Committed snapshots
+form the repo's recorded perf trajectory; ``repro bench
 compare`` is the regression gate CI runs against the committed
 baseline.  See ``docs/PERFORMANCE.md``.
 """

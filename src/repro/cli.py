@@ -48,10 +48,11 @@ Commands
 
 ``bench {snapshot,compare} [BASELINE] [--repeats N] [--tolerance T]``
     Run the pinned kernel suite (interference build, MCS, greedy
-    colouring, conservative coalescing; dense and dict backends) and
-    write a schema-versioned ``BENCH_<rev>.json`` with wall-times and
-    exact work counters — or compare a fresh run against a committed
-    baseline as the CI regression gate.  See ``docs/PERFORMANCE.md``.
+    colouring, interval build, linear scan, conservative coalescing)
+    and write a schema-versioned ``BENCH_<rev>.json`` with wall-times
+    and exact work counters — or compare a fresh run against a
+    committed baseline as the CI regression gate.  See
+    ``docs/PERFORMANCE.md``.
 
 ``serve [--port P] [--workers N] [--cache-dir DIR] [--batch-window S]``
     Run the resident :mod:`repro.serve` service: an asyncio HTTP API
@@ -964,9 +965,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.action == "snapshot":
         try:
             snapshot = run_snapshot(repeats=args.repeats, rev=args.rev)
-        except RuntimeError as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return 2
         print(f"{'kernel':<10} {'instance':<16} {'backend':<7} "
               f"{'wall_ms':>9} {'work':>9}")
         for row in snapshot["rows"]:
@@ -988,15 +989,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             candidate = load_snapshot(args.candidate)
         else:
             candidate = run_snapshot(repeats=args.repeats)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     problems = compare_snapshots(baseline, candidate, tolerance=args.tolerance)
     if problems:
         print(f"REGRESSION vs {args.baseline}:")

@@ -22,10 +22,9 @@ even a previously-refused one).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable
 
-from ..graphs import dense as _dense
-from ..graphs.dense import DenseGraph
+from ..graphs.dense import DENSE_TESTS, DenseGraph
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..graphs.greedy import is_greedy_k_colorable
@@ -204,58 +203,22 @@ TESTS: dict = {
 }
 
 
-def _coalesce_rounds_dict(
+def _coalesce_rounds(
     graph: InterferenceGraph,
     k: int,
     test_fn: ConservativeTest,
     coalescing: Coalescing,
     tracer: Tracer,
 ) -> None:
-    """The fixed-point worklist on the dict-of-set work graph."""
-    work = graph.copy()
-    # map each union-find representative to its vertex name in `work`
-    # (stale entries for superseded representatives are harmless)
-    rep_name = {v: v for v in graph.vertices}
-    progress = True
-    while progress:
-        progress = False
-        tracer.count("conservative.rounds")
-        for u, v, w in affinities_by_weight(graph):
-            wu = rep_name[coalescing.find(u)]
-            wv = rep_name[coalescing.find(v)]
-            if wu == wv:
-                continue
-            tracer.count("queries.interference")
-            if work.has_edge(wu, wv):
-                tracer.count("moves.constrained")
-                continue
-            tracer.count("moves.attempted")
-            if test_fn(work, wu, wv, k, tracer=tracer):
-                work.merge_in_place(wu, wv)
-                coalescing.union(u, v)
-                rep_name[coalescing.find(u)] = wu
-                progress = True
-                tracer.count("moves.coalesced")
-            else:
-                tracer.count("moves.rejected")
+    """The fixed-point worklist on the dense bitset work graph.
 
-
-def _coalesce_rounds_dense(
-    graph: InterferenceGraph,
-    k: int,
-    test_fn: ConservativeTest,
-    coalescing: Coalescing,
-    tracer: Tracer,
-) -> None:
-    """The same fixed point on the dense bitset work graph.
-
-    Identical iteration order, merge directions, and verdicts as the
-    dict loop (each dense test is verdict-equal to its dict twin), so
-    the ``moves.*`` / ``queries.*`` counters and the resulting partition
-    match exactly; only the kernel work counters shrink.  The degree-≥-k
-    mask ``high`` is maintained incrementally from the common-neighbour
-    mask that :meth:`DenseGraph.merge_in_place` returns — the only
-    vertices whose degree changed.
+    Each dense test is verdict-equal to its :data:`TESTS` twin on the
+    dict graph, so the partition is the one the dict-of-set loop would
+    reach; the bitset graph just answers the repeated degree questions
+    word-wise.  The degree-≥-k mask ``high`` is maintained
+    incrementally from the common-neighbour mask that
+    :meth:`DenseGraph.merge_in_place` returns — the only vertices whose
+    degree changed.
     """
     dense = DenseGraph.from_graph(graph)
     deg = dense.deg
@@ -304,7 +267,6 @@ def conservative_coalesce(
     test: str = "briggs_george",
     check_input: bool = True,
     tracer: Tracer = NULL_TRACER,
-    backend: str = "dense",
 ) -> CoalescingResult:
     """Iterated conservative coalescing with the chosen test.
 
@@ -317,36 +279,26 @@ def conservative_coalesce(
     raises ``ValueError`` — conservative coalescing is only meaningful
     on a colourable graph (the paper's setting: after spilling).
 
-    ``backend`` selects the work-graph representation: ``"dense"`` (the
-    default) runs the rounds on :class:`~repro.graphs.dense.DenseGraph`
-    bitset kernels, ``"dict"`` on the dict-of-set reference.  Both
-    produce the same partition, ledger, and ``moves.*`` counters (the
-    tests are verdict-identical); they differ only in kernel work — see
-    docs/PERFORMANCE.md.
+    The rounds run on a :class:`~repro.graphs.dense.DenseGraph` work
+    graph with the bitset twins of :data:`TESTS`
+    (:data:`repro.graphs.dense.DENSE_TESTS`); see docs/PERFORMANCE.md.
 
     ``tracer`` records rounds, merge attempts/accepts/rejections, and
     interference queries (see docs/OBSERVABILITY.md).
     """
-    if backend == "dense":
-        tests: Dict[str, ConservativeTest] = _dense.DENSE_TESTS
-    elif backend == "dict":
-        tests = TESTS
-    else:
-        raise ValueError(f"unknown backend {backend!r}; choose 'dense' or 'dict'")
     try:
-        test_fn = tests[test]
+        test_fn = DENSE_TESTS[test]
     except KeyError:
-        raise ValueError(f"unknown test {test!r}; choose from {sorted(tests)}")
+        raise ValueError(
+            f"unknown test {test!r}; choose from {sorted(DENSE_TESTS)}"
+        )
     if check_input and not is_greedy_k_colorable(graph, k):
         raise ValueError("input graph is not greedy-k-colorable")
 
     coalescing = Coalescing(graph)
     tracer.count("affinities.total", graph.num_affinities())
     with tracer.span(f"conservative-{test}"):
-        if backend == "dense":
-            _coalesce_rounds_dense(graph, k, test_fn, coalescing, tracer)
-        else:
-            _coalesce_rounds_dict(graph, k, test_fn, coalescing, tracer)
+        _coalesce_rounds(graph, k, test_fn, coalescing, tracer)
     # final ledger from the partition itself, so affinities coalesced
     # transitively (endpoints unioned through other moves) are counted
     coalesced = [

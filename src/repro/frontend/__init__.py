@@ -7,8 +7,7 @@ textual subset of LLVM IR — functions, basic blocks, ``br``/``ret``/
 ``switch`` terminators, φ-nodes, integer arithmetic, compares,
 ``select``, ``call``, and opaque memory operations — and lowers each
 function onto the :mod:`repro.ir` CFG/SSA substrate, so liveness,
-interference-graph construction (dict and dense backends), every
-coalescing strategy, the allocators, and the :mod:`repro.analysis`
+interference-graph construction, every coalescing strategy, the allocators, and the :mod:`repro.analysis`
 translation validation all run unchanged on compiler-shaped code.
 
 Pipeline: :mod:`repro.frontend.tokens` (tokenizer) →

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
-from .dense import DenseGraph
-from .dense import mcs_order as _dense_mcs_order
 from .graph import Graph, Vertex
 
 
@@ -37,26 +35,10 @@ def maximum_cardinality_search(
 ) -> List[Vertex]:
     """An MCS order of the vertices.
 
-    Repeatedly pick an unvisited vertex with the most visited neighbours.
-    For chordal graphs the *reverse* of this order is a perfect
-    elimination ordering.  Runs on the dense bitset kernel
-    (:func:`repro.graphs.dense.mcs_order`), which produces the exact
-    order of the dict reference implementation
-    (:func:`maximum_cardinality_search_dict`) — same lazy heap, same
-    insertion-order tie-break — at a fraction of the scan work.
-    """
-    dense = DenseGraph.from_graph(graph)
-    return [dense.names[i] for i in _dense_mcs_order(dense, tracer=tracer)]
-
-
-def maximum_cardinality_search_dict(
-    graph: Graph, tracer: Tracer = NULL_TRACER
-) -> List[Vertex]:
-    """The dict-of-set MCS reference implementation.
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for the dense kernel.  O((V+E) log V) with a
-    lazy heap.
+    Repeatedly pick an unvisited vertex with the most visited neighbours
+    (ties go to the earliest-inserted vertex).  For chordal graphs the
+    *reverse* of this order is a perfect elimination ordering.
+    O((V+E) log V) with a lazy heap.
     """
     counting = tracer.enabled
     weight: Dict[Vertex, int] = {v: 0 for v in graph.vertices}

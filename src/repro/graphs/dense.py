@@ -1,35 +1,38 @@
-"""Dense bitset graph kernels: the integer-indexed fast path.
+"""Dense bitset graph: the work graph of conservative coalescing.
 
 The dict-of-set :class:`~repro.graphs.graph.Graph` is the right *API*
 for the coalescing algorithms — hashable vertex names, cheap merges,
-obvious code — but its inner loops pay a hash lookup per neighbour.
-This module is the dense counterpart: vertices are interned to the
-integer range ``0..n-1`` (in insertion order, so the mapping is stable
-and reproducible) and each adjacency set becomes one Python ``int``
-used as a bitmask.  Neighbourhood algebra then runs word-wise —
-``adj[u] & ~visited`` prunes an entire 64-bit span per machine
-operation — and ``popcount`` replaces per-element counting.
+obvious code — and it is also the faster representation for the
+one-pass kernels (MCS, greedy colouring, greedy elimination), which
+visit each neighbourhood once.  Conservative coalescing is different:
+it re-asks degree questions about the same neighbourhoods after every
+merge, so :func:`repro.coalescing.conservative.conservative_coalesce`
+converts its input once (:meth:`DenseGraph.from_graph`) and runs its
+rounds here.  Vertices are interned to the integer range ``0..n-1``
+(in insertion order, so the mapping is stable and reproducible) and
+each adjacency set becomes one Python ``int`` used as a bitmask.
+Neighbourhood algebra then runs word-wise — ``adj[u] & high & ~adj[v]``
+decides George's test with no per-element work — and ``popcount``
+replaces per-element counting.
 
-Everything here is lossless with respect to the dict representation:
-:meth:`DenseGraph.from_graph` / :meth:`DenseGraph.to_graph` round-trip
-exactly, and each kernel is the *same algorithm* as its dict reference
-(same tie-breaking, same verdicts), so the public dict-based API can
-route through this module without changing observable results.  The
-equivalence is enforced by property tests (``tests/test_dense.py``).
+The representation is lossless: :meth:`DenseGraph.from_graph` /
+:meth:`DenseGraph.to_graph` round-trip exactly, and each conservative
+test here is verdict-identical to its dict twin in
+:data:`repro.coalescing.conservative.TESTS`, so both work graphs yield
+the same partitions.  The equivalence is enforced by property tests
+(``tests/test_dense.py``).
 
 Work accounting: kernels count :data:`~repro.obs.names.EDGES_SCANNED`
 for every adjacency element actually visited and
 :data:`~repro.obs.names.WORDS_MERGED` for every machine word processed
 by a mask operation.  Counts measure the size of data consumed — never
-early exits — so they are exact across runs; ``repro bench snapshot``
-uses them to prove the dense kernels do strictly less work than the
-dict baselines (see ``docs/PERFORMANCE.md``).
+early exits — so they are exact across runs and ``repro bench
+compare`` can gate on them (see ``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from ..obs.names import EDGES_SCANNED, WORDS_MERGED
@@ -191,89 +194,18 @@ class DenseGraph:
 
 
 # ----------------------------------------------------------------------
-# kernels
+# greedy elimination (the brute-force test's re-check)
 # ----------------------------------------------------------------------
-def mcs_order(dense: DenseGraph, tracer: Tracer = NULL_TRACER) -> List[int]:
-    """Maximum-cardinality search over the dense graph.
-
-    Same lazy-heap algorithm and tie-break (max visited-neighbour count,
-    then smallest interned index) as the dict reference
-    :func:`repro.graphs.chordal.maximum_cardinality_search_dict`, so the
-    two produce *identical* orders.  The bitset win: each visit scans
-    only the still-unvisited neighbours (``adj[v] & ~visited``), so
-    every edge is walked once instead of twice.
-    """
-    counting = tracer.enabled
-    weight = [0] * dense.n
-    heap: List[Tuple[int, int]] = [(0, i) for i in _iter_bits(dense.alive)]
-    heapq.heapify(heap)
-    visited = 0
-    order: List[int] = []
-    adj = dense.adj
-    words = dense.words
-    while heap:
-        neg_w, v = heapq.heappop(heap)
-        bv = 1 << v
-        if visited & bv or -neg_w != weight[v]:
-            continue
-        visited |= bv
-        order.append(v)
-        fresh = adj[v] & ~visited
-        if counting:
-            tracer.count(WORDS_MERGED, 2 * words)
-            tracer.count(EDGES_SCANNED, _popcount(fresh))
-        for u in _iter_bits(fresh):
-            w = weight[u] + 1
-            weight[u] = w
-            heapq.heappush(heap, (-w, u))
-    return order
-
-
-def greedy_coloring(
-    dense: DenseGraph,
-    order: Optional[Sequence[int]] = None,
-    tracer: Tracer = NULL_TRACER,
-) -> Dict[int, int]:
-    """First-fit colouring along ``order`` (default: index order).
-
-    Identical colours to the dict reference
-    :func:`repro.graphs.coloring.greedy_coloring_dict` on the same
-    order.  Only already-coloured neighbours are visited — the
-    ``adj[v] & colored`` mask prunes the rest word-wise — so the scan
-    work is E instead of 2E.
-    """
-    counting = tracer.enabled
-    if order is None:
-        order = list(_iter_bits(dense.alive))
-    color = [0] * dense.n
-    colored = 0
-    adj = dense.adj
-    words = dense.words
-    out: Dict[int, int] = {}
-    for v in order:
-        nb = adj[v] & colored
-        if counting:
-            tracer.count(WORDS_MERGED, words)
-            tracer.count(EDGES_SCANNED, _popcount(nb))
-        used = 0
-        for u in _iter_bits(nb):
-            used |= 1 << color[u]
-        c = ((used + 1) & ~used).bit_length() - 1
-        color[v] = c
-        out[v] = c
-        colored |= 1 << v
-    return out
-
-
 def greedy_elimination_order(
     dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER
 ) -> Tuple[List[int], bool]:
     """Chaitin's elimination scheme with threshold ``k`` (Section 2.2).
 
-    Returns ``(order, success)`` like the dict reference
-    :func:`repro.graphs.greedy.greedy_elimination_order_dict`; success
-    is identical (the scheme is confluent), the order may differ in
-    tie-breaking.  Each removal scans only the *remaining* neighbours.
+    Returns ``(order, success)`` as interned indices.  Same worklist
+    discipline as :func:`repro.graphs.greedy.greedy_elimination_order`
+    (LIFO, neighbours in ascending index), so on an unmerged graph the
+    two orders coincide.  Each removal scans only the *remaining*
+    neighbours.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -301,27 +233,6 @@ def greedy_elimination_order(
             if d == k - 1:
                 worklist.append(u)
     return order, remaining == 0
-
-
-def is_greedy_k_colorable(
-    dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER
-) -> bool:
-    """True iff the elimination scheme with threshold ``k`` empties G."""
-    _, success = greedy_elimination_order(dense, k, tracer=tracer)
-    return success
-
-
-def greedy_k_coloring(
-    dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER
-) -> Optional[Dict[int, int]]:
-    """A k-colouring via the greedy scheme, or None if it gets stuck."""
-    order, success = greedy_elimination_order(dense, k, tracer=tracer)
-    if not success:
-        return None
-    coloring = greedy_coloring(dense, order=list(reversed(order)), tracer=tracer)
-    if coloring and max(coloring.values()) >= k:
-        raise AssertionError("greedy scheme produced an over-budget colour")
-    return coloring
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +402,8 @@ def brute_force_test(
         tracer.count(WORDS_MERGED, dense.n * dense.words)
     merged = dense.copy()
     merged.merge_in_place(i, j)
-    return is_greedy_k_colorable(merged, k, tracer=tracer)
+    _, success = greedy_elimination_order(merged, k, tracer=tracer)
+    return success
 
 
 #: Dense conservative tests by name — mirrors

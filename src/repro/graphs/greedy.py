@@ -16,77 +16,60 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
-from . import dense as _dense
-from .dense import DenseGraph
+from .coloring import greedy_coloring
 from .graph import Graph, Vertex
 
 
 def greedy_elimination_order(
     graph: Graph, k: int, tracer: Tracer = NULL_TRACER
 ) -> Tuple[List[Vertex], bool]:
-    """Run Chaitin's elimination scheme with threshold ``k``.
+    """Run Chaitin's elimination scheme with threshold ``k``, O(V+E).
 
     Returns ``(order, success)``: the vertices removed, in removal order,
     and whether the graph was fully eliminated.  The order in which
     candidates are picked does not affect success (the scheme is
-    confluent — Section 2.2).  Routed through the dense bitset kernel
-    (:func:`repro.graphs.dense.greedy_elimination_order`); the dict
-    reference :func:`greedy_elimination_order_dict` remains the
-    benchmark baseline.
-    """
-    dg = DenseGraph.from_graph(graph)
-    order, success = _dense.greedy_elimination_order(dg, k, tracer=tracer)
-    return [dg.names[i] for i in order], success
-
-
-def greedy_elimination_order_dict(
-    graph: Graph, k: int, tracer: Tracer = NULL_TRACER
-) -> Tuple[List[Vertex], bool]:
-    """The dict-of-set elimination reference implementation, O(V+E).
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for the dense kernel.
+    confluent — Section 2.2), but it does shape the colourings built
+    from it, so it is pinned to insertion order: candidates sit on a
+    LIFO worklist seeded in insertion order, and a removed vertex's
+    neighbours are visited in insertion order, never in set-iteration
+    order (which varies with ``PYTHONHASHSEED``).
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     counting = tracer.enabled
-    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
-    removed: Dict[Vertex, bool] = {v: False for v in graph.vertices}
-    worklist: List[Vertex] = [v for v, d in degree.items() if d < k]
+    vertices = list(graph.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    # appending i in ascending order leaves every list sorted by index
+    adj: List[List[int]] = [[] for _ in vertices]
+    for i, v in enumerate(vertices):
+        for u in graph.neighbors_view(v):
+            adj[index[u]].append(i)
+    degree = [len(nbrs) for nbrs in adj]
+    removed = [False] * len(vertices)
+    worklist = [i for i, d in enumerate(degree) if d < k]
     order: List[Vertex] = []
     while worklist:
-        v = worklist.pop()
-        if removed[v] or degree[v] >= k:
+        i = worklist.pop()
+        if removed[i] or degree[i] >= k:
             continue
-        removed[v] = True
-        order.append(v)
+        removed[i] = True
+        order.append(vertices[i])
         if counting:
-            tracer.count(EDGES_SCANNED, graph.degree(v))
-        for u in graph.neighbors_view(v):
-            if not removed[u]:
-                degree[u] -= 1
-                if degree[u] == k - 1:
-                    worklist.append(u)
-    return order, len(order) == len(graph)
+            tracer.count(EDGES_SCANNED, len(adj[i]))
+        for j in adj[i]:
+            if not removed[j]:
+                d = degree[j] - 1
+                degree[j] = d
+                if d == k - 1:
+                    worklist.append(j)
+    return order, len(order) == len(vertices)
 
 
 def is_greedy_k_colorable(
     graph: Graph, k: int, tracer: Tracer = NULL_TRACER
 ) -> bool:
-    """True iff the elimination scheme with threshold ``k`` empties G.
-
-    Runs on the dense bitset kernel; by confluence the verdict is
-    identical to the dict reference (:func:`is_greedy_k_colorable_dict`).
-    """
+    """True iff the elimination scheme with threshold ``k`` empties G."""
     _, success = greedy_elimination_order(graph, k, tracer=tracer)
-    return success
-
-
-def is_greedy_k_colorable_dict(
-    graph: Graph, k: int, tracer: Tracer = NULL_TRACER
-) -> bool:
-    """Dict-of-set reference for :func:`is_greedy_k_colorable`."""
-    _, success = greedy_elimination_order_dict(graph, k, tracer=tracer)
     return success
 
 
@@ -96,13 +79,14 @@ def greedy_k_coloring(graph: Graph, k: int) -> Optional[Dict[Vertex, int]]:
     Colours vertices in reverse elimination order, giving each the
     smallest colour unused among already-coloured neighbours; possible
     because each vertex had < k neighbours remaining when removed.
-    Both phases run on the dense bitset kernels.
     """
-    dg = DenseGraph.from_graph(graph)
-    coloring = _dense.greedy_k_coloring(dg, k)
-    if coloring is None:
+    order, success = greedy_elimination_order(graph, k)
+    if not success:
         return None
-    return {dg.names[i]: c for i, c in coloring.items()}
+    coloring = greedy_coloring(graph, order=list(reversed(order)))
+    if coloring and max(coloring.values()) >= k:
+        raise AssertionError("greedy scheme produced an over-budget colour")
+    return coloring
 
 
 def smallest_last_order(graph: Graph) -> List[Vertex]:

@@ -173,6 +173,12 @@ class InterferenceGraph(Graph):
         g.merge_in_place(u, v, into=into)
         return g
 
+    def __eq__(self, other: object) -> bool:
+        # against a plain Graph, defer to Graph.__eq__ (adjacency only)
+        if not isinstance(other, InterferenceGraph):
+            return NotImplemented
+        return self._adj == other._adj and self._affinities == other._affinities
+
     def __repr__(self) -> str:
         return (
             f"InterferenceGraph(|V|={len(self)}, |E|={self.num_edges()}, "

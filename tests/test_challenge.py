@@ -122,7 +122,11 @@ def test_program_instance_independent_of_hash_seed():
 
     This extends the `repro check` hash-invariance discipline to the
     "program" cohort: graph content, affinity *order*, and strategy
-    outcomes all have to match across PYTHONHASHSEED values.
+    outcomes all have to match across PYTHONHASHSEED values.  The
+    greedy elimination order and the greedy k-colouring built from it
+    are pinned too — they feed the biased colouring and the SSA
+    allocator, so a neighbour walk in set-iteration order would leak
+    the hash seed into `result_hash`.
     """
     import subprocess
     import sys
@@ -132,6 +136,8 @@ def test_program_instance_independent_of_hash_seed():
         "import json\n"
         "from repro.challenge.generator import program_instance\n"
         "from repro.engine.tasks import TaskSpec, run_task\n"
+        "from repro.graphs.greedy import (greedy_elimination_order,\n"
+        "                                 greedy_k_coloring)\n"
         "out = []\n"
         "for seed in (0, 3, 9):\n"
         "    inst = program_instance(seed, 4)\n"
@@ -141,7 +147,13 @@ def test_program_instance_independent_of_hash_seed():
         "        'affinities': [(str(u), str(v), w)\n"
         "                       for u, v, w in g.affinities()],\n"
         "    })\n"
-        "for strategy in ('briggs', 'aggressive'):\n"
+        "g = program_instance(9, 4).graph\n"
+        "order, ok = greedy_elimination_order(g, 4)\n"
+        "coloring = greedy_k_coloring(g, 4)\n"
+        "out.append({'order': [str(v) for v in order], 'ok': ok,\n"
+        "            'coloring': None if coloring is None else\n"
+        "            [(str(v), c) for v, c in coloring.items()]})\n"
+        "for strategy in ('briggs', 'aggressive', 'biased', 'chordal'):\n"
         "    rec = run_task(TaskSpec(generator='program', seed=9, k=4,\n"
         "                            strategy=strategy))\n"
         "    out.append({'key': rec['key'],\n"

@@ -234,6 +234,13 @@ class TestExitCodes:
     def test_score_missing_files(self, tmp_path, capsys):
         assert main(["score", "nope.txt", str(tmp_path / "sol.txt")]) == 2
 
+    def test_bench_snapshot_zero_repeats(self, tmp_path, capsys):
+        out = tmp_path / "BENCH_zero.json"
+        assert main(["bench", "snapshot", "--repeats", "0",
+                     "-o", str(out)]) == 2
+        assert "error: repeats must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCampaignVerify:
     def test_verify_flag_records_certification(self, tmp_path, capsys):

@@ -27,12 +27,9 @@ from repro.ir.cfg import Function
 from repro.ir.dominance import DominatorTree
 from repro.ir.generators import GeneratorConfig, random_function
 from repro.ir.instructions import Instr, Phi
-from repro.ir.liveness import (
-    check_strict,
-    compute_liveness,
-    compute_liveness_dict,
-)
+from repro.ir.liveness import check_strict, compute_liveness
 from repro.obs import WORDS_MERGED, Tracer
+from tests.reference.ir import compute_liveness_dict
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

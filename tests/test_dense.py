@@ -1,10 +1,14 @@
-"""Dense bitset kernels: equivalence with the dict references.
+"""Kernel equivalence: each production kernel against a second
+implementation, plus the snapshot harness that times them.
 
-The dense layer (:mod:`repro.graphs.dense`) promises *identical
-observable results* to the dict-of-set implementations it replaces —
-same MCS orders, same colours, same conservative verdicts, same
-coalescing partitions — at strictly less kernel work.  These tests pin
-both promises, plus the snapshot harness that records them.
+Every kernel runs once in ``src`` — MCS, greedy colouring and greedy
+elimination on the dict-of-set graph, conservative coalescing on the
+bitset :class:`~repro.graphs.dense.DenseGraph`, liveness and the
+interference build on liveness bitmasks.  The other representation
+survives as an oracle (``tests/reference``, or the dense elimination
+kernel the brute-force test uses), and these tests demand *identical*
+observable results: same MCS orders, colours, elimination orders,
+conservative verdicts, partitions, liveness sets and graphs.
 """
 
 import json
@@ -13,24 +17,24 @@ import random
 import pytest
 
 from repro.graphs import dense as dn
-from repro.graphs.chordal import (
-    maximum_cardinality_search,
-    maximum_cardinality_search_dict,
-)
-from repro.graphs.coloring import greedy_coloring, greedy_coloring_dict
+from repro.graphs.chordal import maximum_cardinality_search
+from repro.graphs.coloring import greedy_coloring
 from repro.graphs.dense import DenseGraph
 from repro.graphs.generators import random_chordal_graph, random_graph
 from repro.graphs.graph import Graph
 from repro.graphs.greedy import (
     coloring_number,
     greedy_elimination_order,
-    greedy_elimination_order_dict,
     is_greedy_k_colorable,
-    is_greedy_k_colorable_dict,
 )
 from repro.graphs.interference import InterferenceGraph
 from repro.coalescing.conservative import TESTS, conservative_coalesce
 from repro.obs import EDGES_SCANNED, KERNEL_WORK_COUNTERS, WORDS_MERGED, Tracer
+from tests.reference.graphs import (
+    conservative_coalesce_dict,
+    greedy_coloring_dense,
+    mcs_order_dense,
+)
 
 
 def fuzz_graphs(count=40, max_n=18):
@@ -117,40 +121,38 @@ class TestDenseGraph:
 class TestKernelEquivalence:
     def test_mcs_orders_identical(self):
         for g in fuzz_graphs():
-            assert (maximum_cardinality_search(g)
-                    == maximum_cardinality_search_dict(g))
+            assert maximum_cardinality_search(g) == mcs_order_dense(g)
 
     def test_mcs_chordal_graphs(self):
         for seed in range(8):
             g = random_chordal_graph(30, 6, seed=seed)
-            assert (maximum_cardinality_search(g)
-                    == maximum_cardinality_search_dict(g))
+            assert maximum_cardinality_search(g) == mcs_order_dense(g)
 
     def test_greedy_coloring_identical(self):
         for g in fuzz_graphs():
-            assert greedy_coloring(g) == greedy_coloring_dict(g)
+            assert greedy_coloring(g) == greedy_coloring_dense(g)
             order = list(reversed(list(g.vertices)))
             assert (greedy_coloring(g, order=order)
-                    == greedy_coloring_dict(g, order=order))
+                    == greedy_coloring_dense(g, order=order))
 
     def test_elimination_verdicts_identical(self):
+        """The dict elimination visits candidates and neighbours in
+        insertion order, so its order equals the dense kernel's."""
         for g in fuzz_graphs():
             cn = coloring_number(g)
+            d = DenseGraph.from_graph(g)
             for k in (max(0, cn - 1), cn, cn + 1):
-                assert (is_greedy_k_colorable(g, k)
-                        == is_greedy_k_colorable_dict(g, k))
                 order, ok = greedy_elimination_order(g, k)
-                order_d, ok_d = greedy_elimination_order_dict(g, k)
-                assert ok == ok_d
-                if ok:
-                    assert sorted(map(str, order)) == sorted(map(str, order_d))
+                order_d, ok_d = dn.greedy_elimination_order(d, k)
+                assert ok == ok_d == is_greedy_k_colorable(g, k)
+                assert order == [d.names[i] for i in order_d]
 
     def test_negative_k_rejected(self):
         g = random_graph(4, 0.5, seed=0)
         with pytest.raises(ValueError):
             greedy_elimination_order(g, -1)
         with pytest.raises(ValueError):
-            greedy_elimination_order_dict(g, -1)
+            dn.greedy_elimination_order(DenseGraph.from_graph(g), -1)
 
     def test_conservative_verdicts_identical(self):
         """Each dense test agrees with its dict twin on every
@@ -187,27 +189,25 @@ class TestConservativeBackends:
                                      rng=rng)
             for test in TESTS:
                 td, te = Tracer(), Tracer()
-                rd = conservative_coalesce(inst.graph, inst.k, test=test,
-                                           tracer=td, backend="dict")
+                coalesced, given_up = conservative_coalesce_dict(
+                    inst.graph, inst.k, test=test, tracer=td
+                )
                 re_ = conservative_coalesce(inst.graph, inst.k, test=test,
-                                            tracer=te, backend="dense")
-                assert sorted(rd.coalesced) == sorted(re_.coalesced)
-                assert sorted(rd.given_up) == sorted(re_.given_up)
+                                            tracer=te)
+                assert sorted(coalesced) == sorted(re_.coalesced)
+                assert sorted(given_up) == sorted(re_.given_up)
                 for counter in ("conservative.rounds", "moves.attempted",
                                 "moves.coalesced", "moves.rejected",
                                 "moves.constrained", "queries.interference"):
                     assert (td.counters.get(counter, 0)
                             == te.counters.get(counter, 0)), (test, counter)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            conservative_coalesce(InterferenceGraph(), 2, backend="numpy")
-
 
 class TestBuildBackends:
     def test_liveness_identical(self):
         from repro.ir.generators import random_function
-        from repro.ir.liveness import compute_liveness, compute_liveness_dict
+        from repro.ir.liveness import compute_liveness
+        from tests.reference.ir import compute_liveness_dict
 
         for seed in range(25):
             f = random_function(seed=seed)
@@ -219,62 +219,46 @@ class TestBuildBackends:
     def test_interference_identical(self):
         from repro.ir.generators import random_function
         from repro.ir.interference import chaitin_interference
+        from tests.reference.ir import chaitin_interference_dict
 
         for seed in range(25):
             f = random_function(seed=seed)
-            gd = chaitin_interference(f, backend="dense")
-            gr = chaitin_interference(f, backend="dict")
+            gd = chaitin_interference(f)
+            gr = chaitin_interference_dict(f)
             assert set(gd.vertices) == set(gr.vertices)
             assert ({frozenset(e) for e in gd.edges()}
                     == {frozenset(e) for e in gr.edges()})
             assert sorted(gd.affinities()) == sorted(gr.affinities())
 
-    def test_unknown_backend_rejected(self):
-        from repro.ir.generators import random_function
-        from repro.ir.interference import chaitin_interference
-
-        with pytest.raises(ValueError):
-            chaitin_interference(random_function(seed=0), backend="numpy")
-
 
 class TestWorkCounters:
-    def test_dense_scans_fewer_elements(self):
-        """The headline claim on a dense graph: the dense MCS / colour
-        kernels consume strictly less total work than the dict ones."""
-        g = random_graph(96, 0.3, seed=2)
-        d = DenseGraph.from_graph(g)
-        for dense_fn, dict_fn in (
-            (dn.mcs_order, maximum_cardinality_search_dict),
-            (dn.greedy_coloring, greedy_coloring_dict),
-        ):
-            td, tr = Tracer(), Tracer()
-            dense_fn(d, tracer=td)
-            dict_fn(g, tracer=tr)
-            dense_work = sum(td.counters.get(c, 0)
-                             for c in KERNEL_WORK_COUNTERS)
-            dict_work = sum(tr.counters.get(c, 0)
-                            for c in KERNEL_WORK_COUNTERS)
-            assert dense_work < dict_work
-
     def test_counters_are_deterministic(self):
+        from repro.challenge.generator import pressure_instance
+
         g = random_graph(40, 0.25, seed=9)
-        d = DenseGraph.from_graph(g)
+        inst = pressure_instance(5, 5, rng=random.Random(9))
         reference = None
         for _ in range(3):
             t = Tracer()
-            dn.mcs_order(d, tracer=t)
-            dn.greedy_coloring(d, tracer=t)
+            maximum_cardinality_search(g, tracer=t)
+            greedy_coloring(g, tracer=t)
+            conservative_coalesce(inst.graph, inst.k, test="brute", tracer=t)
             snapshot = {c: t.counters.get(c, 0) for c in KERNEL_WORK_COUNTERS}
             if reference is None:
                 reference = snapshot
             assert snapshot == reference
 
     def test_null_tracer_records_nothing(self):
+        from repro.challenge.generator import pressure_instance
+
         g = random_graph(20, 0.3, seed=4)
+        inst = pressure_instance(4, 4, rng=random.Random(4))
         assert maximum_cardinality_search(g) is not None
+        assert conservative_coalesce(inst.graph, inst.k) is not None
         t = Tracer()
         maximum_cardinality_search(g, tracer=t)
         assert t.counters.get(EDGES_SCANNED, 0) > 0
+        conservative_coalesce(inst.graph, inst.k, tracer=t)
         assert t.counters.get(WORDS_MERGED, 0) > 0
 
 
@@ -291,6 +275,10 @@ class TestSnapshotHarness:
         assert {k for k, _, _ in keys} == {
             "build", "mcs", "color", "coalesce", "intervals", "linscan",
         }
+        # one implementation per kernel, named by its representation
+        for kernel, _, backend in keys:
+            assert backend == ("dict" if kernel in ("mcs", "color")
+                               else "dense"), kernel
         # work counters exactly reproduce; generous wall band for CI noise
         again = run_snapshot(repeats=1, rev="test")
         for a, b in zip(snap["rows"], again["rows"]):
@@ -322,17 +310,36 @@ class TestSnapshotHarness:
         assert any("schema" in p
                    for p in compare_snapshots(base, {"schema_version": 2}))
 
-    def test_work_reduction_enforcement(self):
-        from repro.bench.snapshot import work_reduction_problems
+    def test_compare_skips_retired_twins(self):
+        """A baseline row measured under a backend the candidate no
+        longer runs is skipped when the candidate measures the same
+        (kernel, instance) under the surviving backend; a (kernel,
+        instance) the candidate lacks altogether is still a problem."""
+        from repro.bench import compare_snapshots
 
-        rows = [
-            {"kernel": "mcs", "instance": "g", "backend": "dense", "work": 10},
-            {"kernel": "mcs", "instance": "g", "backend": "dict", "work": 20},
-            {"kernel": "color", "instance": "g", "backend": "dense", "work": 30},
-            {"kernel": "color", "instance": "g", "backend": "dict", "work": 30},
+        def row(kernel, backend, edges):
+            return {"kernel": kernel, "instance": "g", "backend": backend,
+                    "wall_ms": 1.0, "counters": {EDGES_SCANNED: edges},
+                    "work": edges}
+
+        base = {"schema_version": 1, "rows": [
+            row("mcs", "dense", 10), row("mcs", "dict", 20),
+            row("color", "dense", 10), row("color", "dict", 20),
+        ]}
+        cand = {"schema_version": 1, "rows": [
+            row("mcs", "dict", 20), row("color", "dict", 20),
+        ]}
+        assert compare_snapshots(base, cand) == []
+        # the surviving row is still gated on its own counters
+        cand["rows"][0] = row("mcs", "dict", 21)
+        assert compare_snapshots(base, cand) == [
+            "mcs/g/dict: kernel.edges_scanned increased 20 -> 21"
         ]
-        problems = work_reduction_problems(rows)
-        assert len(problems) == 1 and "color/g" in problems[0]
+        only_mcs = {"schema_version": 1, "rows": [row("mcs", "dict", 20)]}
+        problems = compare_snapshots(base, only_mcs)
+        assert len(problems) == 2
+        assert all(p.startswith("color/g/") and "missing" in p
+                   for p in problems)
 
     def test_write_load_roundtrip(self, tmp_path):
         from repro.bench import load_snapshot, run_snapshot, write_snapshot

@@ -164,7 +164,7 @@ def test_fuzz_merge_preserves_coloring_semantics(seed):
 
 
 # ---------------------------------------------------------------------------
-# dense bitset backend vs dict reference
+# bitset vs dict-of-set implementations of the same kernel
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -199,22 +199,23 @@ def test_fuzz_dense_roundtrip_and_merge(seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_fuzz_dense_kernels_match_dict(seed):
-    """MCS orders, greedy colourings, and k-colorability verdicts are
-    identical between the dense kernels and the dict references."""
-    from repro.graphs.chordal import (
-        maximum_cardinality_search,
-        maximum_cardinality_search_dict,
-    )
-    from repro.graphs.coloring import greedy_coloring, greedy_coloring_dict
-    from repro.graphs.greedy import is_greedy_k_colorable_dict
+    """MCS orders, greedy colourings, and greedy elimination orders are
+    identical between the dict kernels and their bitset twins."""
+    from repro.graphs.chordal import maximum_cardinality_search
+    from repro.graphs.coloring import greedy_coloring
+    from repro.graphs.dense import DenseGraph, greedy_elimination_order
+    from repro.graphs.greedy import greedy_elimination_order as eliminate
+    from tests.reference.graphs import greedy_coloring_dense, mcs_order_dense
 
     rng = random.Random(seed)
     g = random_graph(rng.randint(0, 16), rng.uniform(0.05, 0.8), rng)
-    assert (maximum_cardinality_search(g)
-            == maximum_cardinality_search_dict(g))
-    assert greedy_coloring(g) == greedy_coloring_dict(g)
+    assert maximum_cardinality_search(g) == mcs_order_dense(g)
+    assert greedy_coloring(g) == greedy_coloring_dense(g)
     k = rng.randint(0, 8)
-    assert is_greedy_k_colorable(g, k) == is_greedy_k_colorable_dict(g, k)
+    d = DenseGraph.from_graph(g)
+    order_d, ok_d = greedy_elimination_order(d, k)
+    assert eliminate(g, k) == ([d.names[i] for i in order_d], ok_d)
+    assert is_greedy_k_colorable(g, k) == ok_d
 
 
 @settings(max_examples=30, deadline=None)
@@ -243,21 +244,22 @@ def test_fuzz_dense_conservative_tests_match_dict(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_fuzz_conservative_backends_agree(seed):
-    """Both conservative_coalesce backends produce the same partition
-    and the same move ledger on fuzz pressure instances."""
+    """conservative_coalesce (bitset work graph) and the dict-of-set
+    reference worklist produce the same move ledger on fuzz pressure
+    instances."""
     from repro.challenge.generator import pressure_instance
     from repro.coalescing.conservative import conservative_coalesce
+    from tests.reference.graphs import conservative_coalesce_dict
 
     rng = random.Random(seed)
     inst = pressure_instance(rng.randint(3, 6), rng.randint(3, 6),
                              rng=rng, name=f"fuzz-{seed}")
     test = rng.choice(["briggs", "george", "briggs_george"])
-    r_dict = conservative_coalesce(inst.graph, inst.k, test=test,
-                                   backend="dict")
-    r_dense = conservative_coalesce(inst.graph, inst.k, test=test,
-                                    backend="dense")
-    assert sorted(r_dict.coalesced) == sorted(r_dense.coalesced)
-    assert sorted(r_dict.given_up) == sorted(r_dense.given_up)
+    coalesced, given_up = conservative_coalesce_dict(inst.graph, inst.k,
+                                                     test=test)
+    r_dense = conservative_coalesce(inst.graph, inst.k, test=test)
+    assert sorted(coalesced) == sorted(r_dense.coalesced)
+    assert sorted(given_up) == sorted(r_dense.given_up)
 
 
 @settings(max_examples=25, deadline=None)
@@ -267,15 +269,19 @@ def test_fuzz_build_backends_agree(seed):
     identical between the mask-based and dict-based builders."""
     from repro.ir.generators import random_function
     from repro.ir.interference import chaitin_interference
-    from repro.ir.liveness import compute_liveness, compute_liveness_dict
+    from repro.ir.liveness import compute_liveness
+    from tests.reference.ir import (
+        chaitin_interference_dict,
+        compute_liveness_dict,
+    )
 
     func = random_function(seed)
     dense_live = compute_liveness(func)
     dict_live = compute_liveness_dict(func)
     assert dense_live.live_in == dict_live.live_in
     assert dense_live.live_out == dict_live.live_out
-    g_dense = chaitin_interference(func, backend="dense")
-    g_dict = chaitin_interference(func, backend="dict")
+    g_dense = chaitin_interference(func)
+    g_dict = chaitin_interference_dict(func)
     assert set(g_dense.vertices) == set(g_dict.vertices)
     assert ({frozenset(e) for e in g_dense.edges()}
             == {frozenset(e) for e in g_dict.edges()})
@@ -367,14 +373,18 @@ def test_corpus_backends_agree(func):
     programs — the corpus exercises shapes the generators never emit:
     switch fan-out, critical self-loops, φ'd constant materialization)."""
     from repro.ir.interference import chaitin_interference
-    from repro.ir.liveness import compute_liveness, compute_liveness_dict
+    from repro.ir.liveness import compute_liveness
+    from tests.reference.ir import (
+        chaitin_interference_dict,
+        compute_liveness_dict,
+    )
 
     dense_live = compute_liveness(func)
     dict_live = compute_liveness_dict(func)
     assert dense_live.live_in == dict_live.live_in
     assert dense_live.live_out == dict_live.live_out
-    g_dense = chaitin_interference(func, backend="dense")
-    g_dict = chaitin_interference(func, backend="dict")
+    g_dense = chaitin_interference(func)
+    g_dict = chaitin_interference_dict(func)
     assert set(g_dense.vertices) == set(g_dict.vertices)
     assert ({frozenset(e) for e in g_dense.edges()}
             == {frozenset(e) for e in g_dict.edges()})

@@ -67,8 +67,13 @@ class TestAffinities:
 
     def test_copy_independent(self, small):
         c = small.copy()
+        assert c == small
         c.remove_affinity("a", "c")
         assert small.has_affinity("a", "c")
+        # equality compares affinity weights as well as adjacency
+        assert c != small
+        assert (InterferenceGraph(affinities=[("a", "b")])
+                != InterferenceGraph(vertices=["a", "b"]))
 
     def test_subgraph_restricts_affinities(self, small):
         s = small.subgraph(["a", "c"])
@@ -78,6 +83,8 @@ class TestAffinities:
     def test_structural_graph_strips_affinities(self, small):
         s = small.structural_graph()
         assert s.num_edges() == 2
+        # against a plain Graph, equality is adjacency-only
+        assert s == small and small == s
         assert not hasattr(s, "affinities") or isinstance(s, type(s))
 
 

@@ -3,10 +3,11 @@
 The load-bearing invariants, each cross-checked against an
 independent implementation:
 
-* the dense and dict interval builders agree bit-exactly, on fuzzed
-  programs and on the whole LLVM corpus;
-* the boundary occupancy sets reproduce ``compute_liveness`` (both
-  backends) at block entries and ends;
+* the mask-based builder agrees bit-exactly with the dict-of-set
+  oracle in ``tests/reference``, on fuzzed programs and on the whole
+  LLVM corpus;
+* the boundary occupancy sets reproduce ``compute_liveness`` (and its
+  dict-of-set oracle) at block entries and ends;
 * ``IntervalSet.max_overlap() == maxlive(func)`` — the occupancy
   convention *is* the register-pressure convention;
 * Chaitin interference implies interval intersection (intervals
@@ -29,7 +30,6 @@ from repro.intervals import (
     IntervalSet,
     LiveInterval,
     build_intervals,
-    build_intervals_dict,
     function_interval_coalesce,
     interval_coalesce,
     interval_stats,
@@ -40,8 +40,9 @@ from repro.intervals import (
 )
 from repro.ir import GeneratorConfig, construct_ssa, random_function
 from repro.ir.interference import chaitin_interference
-from repro.ir.liveness import compute_liveness, compute_liveness_dict, maxlive
+from repro.ir.liveness import compute_liveness, maxlive
 from repro.obs import RANGES_BUILT, Tracer
+from tests.reference.ir import build_intervals_dict, compute_liveness_dict
 
 
 FUZZ_SEEDS = range(12)
@@ -252,8 +253,6 @@ class TestLinearScan:
         func = _fuzz_func(0)
         with pytest.raises(ValueError):
             linear_scan_allocate(func, 4, variant="no-such-variant")
-        with pytest.raises(ValueError):
-            linear_scan_allocate(func, 4, backend="no-such-backend")
         with pytest.raises(ValueError):
             linear_scan_allocate(func, 0)
 
