@@ -116,8 +116,12 @@ def george_extended_test(
     ``t`` itself has at most (k − 1) neighbours of degree ≥ k — such a
     ``t`` is always removable by the greedy scheme once its low-degree
     neighbours are gone (the Briggs argument applied to ``t``), so it
-    cannot block the merged vertex.  Costlier to evaluate (degree
-    inspection of the neighbours' neighbours), as the paper notes.
+    cannot block the merged vertex.  The count is taken in the *merged*
+    graph, where the scheme runs: ``t``'s edge to ``u`` becomes an edge
+    to the merged vertex, of degree |N(u) ∪ N(v)|, and a common
+    neighbour of ``u`` and ``v`` loses one edge.  Costlier to evaluate
+    (degree inspection of the neighbours' neighbours), as the paper
+    notes.
     """
     if graph.has_edge(u, v):
         return False
@@ -135,15 +139,24 @@ def george_extended_test(
         tracer.count(EDGES_SCANNED, graph.degree(u))
         for t in blockers:
             tracer.count(EDGES_SCANNED, graph.degree(t))
+    if not blockers:
+        return True
+    nu = graph.neighbors_view(u)
+    if tracer.enabled:
+        tracer.count(EDGES_SCANNED, len(nu) + len(nv))
+    merged_high = len((nu | nv) - {u, v}) >= k
 
     def removable(t: Vertex) -> bool:
-        significant = 0
+        significant = int(merged_high)  # t's edge to the merged vertex
         for s in graph.neighbors_view(t):
-            if graph.degree(s) >= k:
+            if s == u:
+                continue
+            degree = graph.degree(s) - (s in nu and s in nv)
+            if degree >= k:
                 significant += 1
                 if significant >= k:
                     return False
-        return True
+        return significant < k
 
     return all(removable(t) for t in blockers)
 

@@ -331,10 +331,13 @@ def george_extended_test(
 
     A blocker ``t`` (high-degree neighbour of ``i`` unknown to ``j``)
     is forgiven when it is itself removable — fewer than ``k`` of *its*
-    neighbours are high-degree, one popcount per blocker.
+    neighbours are high-degree in the merged graph, one popcount per
+    blocker.  In the merged graph ``i`` is replaced by the merged
+    vertex (high iff ``|N(i) ∪ N(j)| ≥ k``) and common neighbours of
+    degree exactly ``k`` drop below the threshold.
     """
     counting = tracer.enabled
-    adj, words = dense.adj, dense.words
+    adj, deg, words = dense.adj, dense.deg, dense.words
     bi, bj = 1 << i, 1 << j
     if adj[i] & bj:
         return False
@@ -346,10 +349,21 @@ def george_extended_test(
     if counting:
         tracer.count(WORDS_MERGED, 3 * words)
         tracer.count(EDGES_SCANNED, _popcount(blockers))
+    if not blockers:
+        return True
+    merged_high = _popcount((adj[i] | adj[j]) & ~(bi | bj)) >= k
+    high_after = high & ~bi
+    borderline = adj[i] & adj[j] & high
+    if counting:
+        tracer.count(WORDS_MERGED, 5 * words)
+        tracer.count(EDGES_SCANNED, _popcount(borderline))
+    for w in _iter_bits(borderline):
+        if deg[w] == k:
+            high_after &= ~(1 << w)
     for t in _iter_bits(blockers):
         if counting:
             tracer.count(WORDS_MERGED, words)
-        if _popcount(adj[t] & high) >= k:
+        if _popcount(adj[t] & high_after) + merged_high >= k:
             return False
     return True
 
