@@ -222,7 +222,7 @@ def test_fuzz_dense_kernels_match_dict(seed):
 @given(st.integers(0, 10_000))
 def test_fuzz_dense_conservative_tests_match_dict(seed):
     """Briggs/George (and friends) return the same verdict on every
-    candidate pair in both backends."""
+    candidate pair on the bitset and the dict-of-set graph."""
     from repro.coalescing.conservative import TESTS
     from repro.graphs.dense import DENSE_TESTS, DenseGraph
 
@@ -368,10 +368,11 @@ def _corpus_cases():
 
 @pytest.mark.parametrize("func", _corpus_cases())
 def test_corpus_backends_agree(func):
-    """Dense and dict liveness + interference builders agree on every
-    real, frontend-lowered corpus function (not only on generated
-    programs — the corpus exercises shapes the generators never emit:
-    switch fan-out, critical self-loops, φ'd constant materialization)."""
+    """The mask-based liveness + interference builders agree with the
+    dict-of-set oracles on every real, frontend-lowered corpus function
+    (not only on generated programs — the corpus exercises shapes the
+    generators never emit: switch fan-out, critical self-loops, φ'd
+    constant materialization)."""
     from repro.ir.interference import chaitin_interference
     from repro.ir.liveness import compute_liveness
     from tests.reference.ir import (
